@@ -244,13 +244,15 @@ func (a *admission) recordShed(r *http.Request, endpoint, cause string) {
 }
 
 // limitBody caps the request body so a single oversized upload cannot
-// balloon the decode path; decode errors surface as *http.MaxBytesError
-// and are answered by shedBody.
-func (a *admission) limitBody(w http.ResponseWriter, r *http.Request) {
+// balloon the decode path; reads past the cap fail with
+// *http.MaxBytesError, answered by shedBody. It returns the cap, 0 when
+// bodies are uncapped.
+func (a *admission) limitBody(w http.ResponseWriter, r *http.Request) int64 {
 	if a == nil || a.cfg.MaxBodyBytes <= 0 {
-		return
+		return 0
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, a.cfg.MaxBodyBytes)
+	return a.cfg.MaxBodyBytes
 }
 
 // armWriteDeadline puts a deadline on the response write so a slow-reading

@@ -13,7 +13,6 @@ import (
 
 	"snaptask/internal/dispatch"
 	"snaptask/internal/geom"
-	"snaptask/internal/telemetry"
 )
 
 // RegisterWorkerRequest registers (or re-announces) a worker. All fields
@@ -123,12 +122,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // when uploads and claims contend.
 func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var tracer *telemetry.Tracer
-	if s.tel != nil {
-		tracer = s.tel.Tracer
-	}
-	tr := tracer.StartRequest("claim", telemetry.RequestID(r.Context()),
-		telemetry.TraceContextFromContext(r.Context()))
+	tr := s.startTrace(r, "claim")
 	defer tr.Finish()
 	defer func() {
 		if s.dispM != nil {

@@ -622,6 +622,16 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// startTrace opens the request-scoped trace of one handler (a no-op trace
+// on servers without telemetry).
+func (s *Server) startTrace(r *http.Request, kind string) *telemetry.Trace {
+	if s.tel == nil {
+		return nil
+	}
+	return s.tel.Tracer.StartRequest(kind, telemetry.RequestID(r.Context()),
+		telemetry.TraceContextFromContext(r.Context()))
+}
+
 // rejectDecode answers a failed request-body decode: an oversized body
 // (the admission body cap) is a body_limit shed with 413, anything else a
 // plain 400.
@@ -706,19 +716,23 @@ func PhotoToDTO(p camera.Photo) PhotoDTO {
 }
 
 func (s *Server) handlePhotos(w http.ResponseWriter, r *http.Request) {
-	s.adm.limitBody(w, r)
-	var req UploadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	tr := s.startTrace(r, "upload")
+	defer tr.Finish()
+	sp := tr.Span("upload.decode")
+	body, err := s.readBody(w, r)
+	var req photoBatch
+	if err == nil {
+		req, err = decodeUpload(body)
+	}
+	sp.End()
+	if err != nil {
+		tr.SetError(err)
 		s.rejectDecode(w, r, "upload", err)
 		return
 	}
 	if len(req.Photos) == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
 		return
-	}
-	photos := make([]camera.Photo, len(req.Photos))
-	for i, d := range req.Photos {
-		photos[i] = photoFromDTO(d)
 	}
 
 	release, ok := s.ownerAdmit(w, r, "upload", req.WorkerID)
@@ -745,13 +759,13 @@ func (s *Server) handlePhotos(w http.ResponseWriter, r *http.Request) {
 	}
 	var out core.BatchOutcome
 	if req.Bootstrap {
-		out, err = s.sys.ProcessBootstrap(photos, s.rng)
+		out, err = s.sys.ProcessBootstrap(req.Photos, s.rng)
 	} else {
 		// Peek-era completion: the upload removes the task from the queue
 		// (claimed tasks are already out; TakeTask then no-ops).
 		s.sys.TakeTask(req.TaskID)
 		seed := uploadSeed(req.HasSeed, req.SeedX, req.SeedY, req.LocX, req.LocY)
-		out, err = s.sys.ProcessPhotoBatch(geom.V2(req.LocX, req.LocY), seed, photos, s.rng)
+		out, err = s.sys.ProcessPhotoBatch(geom.V2(req.LocX, req.LocY), seed, req.Photos, s.rng)
 	}
 	if leased {
 		s.disp.FinishUpload(req.WorkerID, req.LeaseID, err == nil)
@@ -810,9 +824,17 @@ func leaseErrorStatus(err error) int {
 }
 
 func (s *Server) handleAnnotations(w http.ResponseWriter, r *http.Request) {
-	s.adm.limitBody(w, r)
-	var req AnnotateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	tr := s.startTrace(r, "annotate")
+	defer tr.Finish()
+	sp := tr.Span("annotate.decode")
+	body, err := s.readBody(w, r)
+	var req photoBatch
+	if err == nil {
+		req, err = decodeAnnotate(body)
+	}
+	sp.End()
+	if err != nil {
+		tr.SetError(err)
 		s.rejectDecode(w, r, "upload", err)
 		return
 	}
@@ -820,18 +842,7 @@ func (s *Server) handleAnnotations(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("annotation without photos"))
 		return
 	}
-	task := annotation.Task{Location: geom.V2(req.LocX, req.LocY)}
-	for _, d := range req.Photos {
-		task.Photos = append(task.Photos, photoFromDTO(d))
-	}
-	var anns []annotation.Annotation
-	for _, m := range req.Marks {
-		a := annotation.Annotation{WorkerID: m.WorkerID, PhotoIdx: m.PhotoIdx}
-		for i, c := range m.Corners {
-			a.Corners[i] = geom.V2(c[0], c[1])
-		}
-		anns = append(anns, a)
-	}
+	task := annotation.Task{Location: geom.V2(req.LocX, req.LocY), Photos: req.Photos}
 
 	release, ok := s.ownerAdmit(w, r, "upload", req.WorkerID)
 	if !ok {
@@ -857,7 +868,7 @@ func (s *Server) handleAnnotations(w http.ResponseWriter, r *http.Request) {
 	}
 	s.sys.TakeTask(req.TaskID)
 	seed := uploadSeed(req.HasSeed, req.SeedX, req.SeedY, req.LocX, req.LocY)
-	out, err := s.sys.ProcessAnnotation(task, seed, anns, s.rng)
+	out, err := s.sys.ProcessAnnotation(task, seed, req.Marks, s.rng)
 	if leased {
 		s.disp.FinishUpload(req.WorkerID, req.LeaseID, err == nil)
 	}
@@ -902,14 +913,8 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 	if !s.rateAdmit(w, r, "locate", "") {
 		return
 	}
-	s.adm.limitBody(w, r)
 	start := time.Now()
-	var tracer *telemetry.Tracer
-	if s.tel != nil {
-		tracer = s.tel.Tracer
-	}
-	tr := tracer.StartRequest("locate", telemetry.RequestID(r.Context()),
-		telemetry.TraceContextFromContext(r.Context()))
+	tr := s.startTrace(r, "locate")
 	result := "ok"
 	defer func() {
 		s.locM.Duration.With(result).Observe(time.Since(start).Seconds())
@@ -917,8 +922,11 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	sp := tr.Span("locate.decode")
-	var req LocateRequest
-	err := json.NewDecoder(r.Body).Decode(&req)
+	body, err := s.readBody(w, r)
+	var photo camera.Photo
+	if err == nil {
+		photo, err = decodeLocate(body)
+	}
 	sp.End()
 	if err != nil {
 		result = "bad_request"
@@ -926,7 +934,6 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 		s.rejectDecode(w, r, "locate", err)
 		return
 	}
-	photo := photoFromDTO(req.Photo)
 
 	// The feature index is precomputed in the snapshot, so localisation
 	// runs off the owner path and never queues behind an upload.

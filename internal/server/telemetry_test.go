@@ -114,18 +114,30 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestTracesAfterIngest checks the tracer captured per-stage spans for the
-// batch the upload drove through the owner path.
+// batch the upload drove through the owner path, plus the upload's request
+// trace with its decode span, both under the upload's request ID.
 func TestTracesAfterIngest(t *testing.T) {
 	ts, w, v, tel := newTelemetryTestServer(t)
 	bootstrapUpload(t, ts, w, v, 3)
 
 	recent := tel.Tracer.Recent()
-	if len(recent) != 1 {
-		t.Fatalf("got %d traces, want 1", len(recent))
+	if len(recent) != 2 {
+		t.Fatalf("got %d traces, want 2 (batch + upload request)", len(recent))
 	}
-	tr := recent[0]
+	byKind := make(map[string]telemetry.TraceRecord)
+	for _, tr := range recent {
+		byKind[tr.Kind] = tr
+	}
+	req := byKind["upload"]
+	if len(req.Stages) != 1 || req.Stages[0].Stage != "upload.decode" || req.Err != "" {
+		t.Errorf("upload request trace: %+v", req)
+	}
+	tr := byKind["bootstrap"]
 	if tr.Kind != "bootstrap" || tr.RequestID == "" || tr.Err != "" {
 		t.Errorf("trace header: %+v", tr)
+	}
+	if req.RequestID != tr.RequestID {
+		t.Errorf("request trace ID %q, batch trace ID %q", req.RequestID, tr.RequestID)
 	}
 	stages := make(map[string]bool)
 	for _, sp := range tr.Stages {
@@ -194,7 +206,8 @@ func TestConcurrentScrapeDuringUploads(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if got := len(tel.Tracer.Recent()); got != 4 {
-		t.Errorf("got %d traces, want 4", got)
+	// One batch trace and one upload request trace per upload.
+	if got := len(tel.Tracer.Recent()); got != 8 {
+		t.Errorf("got %d traces, want 8", got)
 	}
 }
