@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -214,17 +215,24 @@ type Contribution struct {
 
 // CastView computes one view's contribution against an obstacles map. step
 // is the resolved angular ray step (use resolveRayStep / Config.RayStep).
+// Idx lists the covered cells in the order the rays first touch them.
 func CastView(v View, obstacles *grid.Map, step float64) Contribution {
+	return castView(v, obstacles, step, &castSet{})
+}
+
+// castView is CastView with a caller-owned covered-cell set, so a worker
+// casting many views allocates the set once.
+func castView(v View, obstacles *grid.Map, step float64, covered *castSet) Contribution {
 	in := v.Intrinsics
 	if step <= 0 {
 		step = 0.8 * obstacles.Res() / in.Range
 	}
-	covered := make(map[grid.Cell]bool)
-	// Always include the camera's own cell, seen from every side.
 	own := obstacles.CellOf(v.Pose.Pos)
+	covered.reset(own, castHalf(in.Range, obstacles))
+	// Always include the camera's own cell, seen from every side.
 	hasOwn := obstacles.InBounds(own)
 	if hasOwn {
-		covered[own] = true
+		covered.add(own)
 	}
 	for a := -in.HFOV / 2; a <= in.HFOV/2; a += step {
 		dir := geom.UnitFromAngle(v.Pose.Yaw + a)
@@ -237,19 +245,19 @@ func CastView(v View, obstacles *grid.Map, step float64) Contribution {
 			}
 			if obstacles.At(c) > 0 {
 				// The obstacle cell itself is seen, then the ray stops.
-				covered[c] = true
+				covered.add(c)
 				blocked = true
 				return
 			}
-			covered[c] = true
+			covered.add(c)
 		})
 	}
 	co := Contribution{
-		Idx:  make([]int32, 0, len(covered)),
-		Mask: make([]uint8, 0, len(covered)),
+		Idx:  make([]int32, 0, len(covered.cells)),
+		Mask: make([]uint8, 0, len(covered.cells)),
 	}
 	w := obstacles.Width()
-	for c := range covered {
+	for _, c := range covered.cells {
 		m := uint8(quadrantBit(v.Pose.Pos, obstacles.CenterOf(c)))
 		if hasOwn && c == own {
 			m = 0xF
@@ -260,23 +268,94 @@ func CastView(v View, obstacles *grid.Map, step float64) Contribution {
 	return co
 }
 
+// castHalf returns the half side, in cells, of the range box a cast's
+// covered set is kept in: ceil(Range/res)+2. Along either axis a ray ends
+// at most ceil(Range/res)+1 cells from the cell RasterizeSegment starts it
+// in, and that cell is at most one from the camera's CellOf (the two round
+// x/res differently). Absurd ranges are clamped to the layout size; the
+// set stays exact either way (see castSet.add).
+func castHalf(rng float64, obstacles *grid.Map) int {
+	limit := obstacles.Width() + obstacles.Height()
+	if r := math.Abs(rng) / obstacles.Res(); r < float64(limit) {
+		return int(math.Ceil(r)) + 2
+	}
+	return limit + 2
+}
+
+// castSet is the covered-cell set of one cast: a dense []bool over a square
+// box of cells centred on the camera, plus the covered cells in the order
+// they were first added; membership is an index, not a hash per ray step.
+// reset clears only the cells the previous cast set, so one set serves
+// every view a worker casts.
+type castSet struct {
+	side   int // box side in cells
+	i0, j0 int // layout cell of the box's low corner
+	in     []bool
+	cells  []grid.Cell
+}
+
+// slot returns c's index in the box, or false when c lies outside it.
+func (s *castSet) slot(c grid.Cell) (int, bool) {
+	i, j := c.I-s.i0, c.J-s.j0
+	if uint(i) >= uint(s.side) || uint(j) >= uint(s.side) {
+		return 0, false
+	}
+	return j*s.side + i, true
+}
+
+// reset empties the set and re-centres its box on center with the given
+// half side.
+func (s *castSet) reset(center grid.Cell, half int) {
+	for _, c := range s.cells {
+		if k, ok := s.slot(c); ok {
+			s.in[k] = false
+		}
+	}
+	s.cells = s.cells[:0]
+	s.side = 2*half + 1
+	if n := s.side * s.side; cap(s.in) >= n {
+		s.in = s.in[:n] // all false: every set slot was just cleared
+	} else {
+		s.in = make([]bool, n)
+	}
+	s.i0, s.j0 = center.I-half, center.J-half
+}
+
+// add records c if it is not yet covered. A cell outside the box — only a
+// ray whose traversal overshoots its end cell through rounding, or a
+// clamped absurd range, can reach one — falls back to a scan of the list,
+// so membership stays exact.
+func (s *castSet) add(c grid.Cell) {
+	if k, ok := s.slot(c); ok {
+		if !s.in[k] {
+			s.in[k] = true
+			s.cells = append(s.cells, c)
+		}
+		return
+	}
+	if !slices.Contains(s.cells, c) {
+		s.cells = append(s.cells, c)
+	}
+}
+
 // castViews computes contributions for a set of views, fanning the per-view
-// ray casting across a runtime.NumCPU() worker pool. The result slice is
-// indexed like views, so the output is deterministic regardless of which
-// worker cast which view.
+// ray casting across a runtime.GOMAXPROCS(0) worker pool; each worker reuses
+// one covered-cell set. The result slice is indexed like views, so the
+// output is deterministic regardless of which worker cast which view.
 func castViews(dst []Contribution, views []View, obstacles *grid.Map, cfg Config) error {
 	for _, v := range views {
 		if v.Intrinsics.Range <= 0 || v.Intrinsics.HFOV <= 0 {
 			return fmt.Errorf("mapping: view with invalid intrinsics %+v", v.Intrinsics)
 		}
 	}
-	workers := runtime.NumCPU()
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(views) {
 		workers = len(views)
 	}
 	if workers <= 1 {
+		var covered castSet
 		for i, v := range views {
-			dst[i] = CastView(v, obstacles, cfg.RayStep)
+			dst[i] = castView(v, obstacles, cfg.RayStep, &covered)
 		}
 		return nil
 	}
@@ -286,12 +365,13 @@ func castViews(dst []Contribution, views []View, obstacles *grid.Map, cfg Config
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var covered castSet
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(views) {
 					return
 				}
-				dst[i] = CastView(views[i], obstacles, cfg.RayStep)
+				dst[i] = castView(views[i], obstacles, cfg.RayStep, &covered)
 			}
 		}()
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -105,8 +104,8 @@ func (c *Cloud) CountArtificial() int {
 }
 
 // knnIndex is a uniform-grid spatial hash over the points of a cloud used to
-// answer approximate-exact kNN queries in roughly O(k) per query for
-// well-distributed clouds.
+// answer exact kNN queries in roughly O(k) per query for well-distributed
+// clouds.
 type knnIndex struct {
 	cellSize float64
 	cells    map[[3]int][]int
@@ -145,15 +144,19 @@ func (idx *knnIndex) key(p geom.Vec3) [3]int {
 }
 
 // nearest returns the distances to the k nearest neighbours of point i
-// (excluding itself), expanding the search ring until enough neighbours are
-// guaranteed exact.
+// (excluding itself) in ascending order, expanding the search ring until
+// the k-th distance is provably exact. Only the k best candidates are kept,
+// in an ascending buffer, so a query costs O(candidates · k) comparisons
+// and no sort.
 func (idx *knnIndex) nearest(i, k int) []float64 {
 	if k <= 0 {
 		return nil
 	}
 	center := idx.pts[i].Pos
 	ck := idx.key(center)
-	var dists []float64
+	mag := math.Max(math.Abs(center.X), math.Max(math.Abs(center.Y), math.Abs(center.Z)))
+	best := make([]float64, 0, k)
+	seen := 0
 	for ring := 0; ; ring++ {
 		// Once the search shell is larger than the number of occupied
 		// cells, scanning every point directly is cheaper than walking
@@ -162,7 +165,7 @@ func (idx *knnIndex) nearest(i, k int) []float64 {
 		if shell := 2*ring + 1; shell*shell*shell > 4*len(idx.cells)+64 {
 			return idx.brute(i, k)
 		}
-		// Collect all points in cells on the Chebyshev shell of radius
+		// Visit all points in cells on the Chebyshev shell of radius
 		// `ring` around the query cell.
 		for dx := -ring; dx <= ring; dx++ {
 			for dy := -ring; dy <= ring; dy++ {
@@ -175,47 +178,81 @@ func (idx *knnIndex) nearest(i, k int) []float64 {
 						if j == i {
 							continue
 						}
-						dists = append(dists, center.Dist(idx.pts[j].Pos))
+						seen++
+						best = pushBest(best, k, center.Dist(idx.pts[j].Pos))
 					}
 				}
 			}
 		}
-		if len(dists) >= k {
-			sort.Float64s(dists)
-			// After sweeping rings 0..ring, every point within
-			// Euclidean distance (ring-1)*cellSize of the query is
-			// guaranteed to have been found, so the result is exact
-			// once the k-th distance falls inside that radius.
-			if dists[k-1] <= float64(ring-1)*idx.cellSize {
-				return dists[:k]
-			}
+		if len(best) == k && best[k-1] <= exactRadius(ring, idx.cellSize, mag) {
+			return best
 		}
 		// Terminate once the whole cloud has been swept.
-		if len(dists) == len(idx.pts)-1 {
-			sort.Float64s(dists)
-			if len(dists) > k {
-				return dists[:k]
-			}
-			return dists
+		if seen == len(idx.pts)-1 {
+			return best
 		}
 	}
 }
 
+// exactRadius returns a distance R such that, once rings 0..ring around the
+// query's cell have been swept, every point not yet seen has a computed
+// distance of at least R. A k-th best distance <= R is therefore final:
+// whatever is left cannot displace it, and a tie leaves the values equal.
+//
+// Proof. Write s for the cell size, u = 2^-53 for the unit roundoff, q for
+// the query and p for an unseen point. Being unseen, p's cell lies outside
+// the swept cube, so on some axis its key exceeds the query's by at least
+// ring+1 (the other sign is symmetric). Keys are floor(fl(x/s)) and
+// fl(x/s) = (x/s)(1+e) with |e| <= u, so
+//
+//	p(1+e1)/s >= key(p) >= key(q)+ring+1 > q(1+e2)/s + ring,
+//
+// hence p-q > ring·s - (|p|+|q|)·u on that axis. Without rounding this is
+// the familiar bound: every point closer than ring·s has been seen. The
+// computed Dist (a subtraction, three squares, two adds and a square root)
+// is at least (1-4u) times the true axis gap, and only points with
+// |p-q| < ring·s matter, where |p| <= |q|+ring·s(1+5u). Together the
+// computed distance of p exceeds ring·s - (2|q|+6·ring·s)·u, and the
+// guard (|q|+ring·s)·2^-48 = 32u·(|q|+ring·s) covers that deficit, plus
+// the rounding of the guard arithmetic itself, with room to spare. |q| is
+// the query's largest absolute coordinate.
+func exactRadius(ring int, cellSize, mag float64) float64 {
+	reach := float64(ring) * cellSize
+	return reach - (mag+reach)*0x1p-48
+}
+
+// pushBest inserts d into best, an ascending buffer of the at most k
+// smallest values seen so far, and returns the updated buffer. best must
+// have capacity k.
+func pushBest(best []float64, k int, d float64) []float64 {
+	n := len(best)
+	if n == k {
+		if d >= best[k-1] {
+			return best
+		}
+		n-- // the current largest falls off the end
+	} else {
+		best = best[:n+1]
+	}
+	for n > 0 && best[n-1] > d {
+		best[n] = best[n-1]
+		n--
+	}
+	best[n] = d
+	return best
+}
+
 // brute returns the exact k nearest distances by scanning every point.
 func (idx *knnIndex) brute(i, k int) []float64 {
-	dists := make([]float64, 0, len(idx.pts)-1)
+	best := make([]float64, 0, k)
 	center := idx.pts[i].Pos
 	for j := range idx.pts {
 		if j == i {
 			continue
 		}
-		dists = append(dists, center.Dist(idx.pts[j].Pos))
+		best = pushBest(best, k, center.Dist(idx.pts[j].Pos))
 	}
-	sort.Float64s(dists)
-	if len(dists) > k {
-		dists = dists[:k]
-	}
-	return dists
+	return best
 }
 
 func maxAbs3(a, b, c int) int {
@@ -315,12 +352,13 @@ func StatisticalOutlierRemoval(c *Cloud, opts SOROptions) (*Cloud, int, error) {
 // parallelMeanKNN computes, for each index in targets, the mean distance to
 // its k nearest neighbours (written to meanDists[i]) and, when kth is
 // non-nil, the k-th nearest distance itself (written to kth[i]). Work is
-// fanned across runtime.NumCPU() goroutines; each target writes only its own
-// slots, so results are deterministic regardless of scheduling. Distances
-// returned by nearest are sorted ascending, which fixes the float summation
-// order and keeps the result bit-identical to a serial computation.
+// fanned across runtime.GOMAXPROCS(0) goroutines; each target writes only
+// its own slots, so results are deterministic regardless of scheduling.
+// Distances returned by nearest are ascending, which fixes the float
+// summation order and keeps the result bit-identical to a serial
+// computation.
 func parallelMeanKNN(idx *knnIndex, k int, targets []int, meanDists, kth []float64) {
-	workers := runtime.NumCPU()
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(targets) {
 		workers = len(targets)
 	}

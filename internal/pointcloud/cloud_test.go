@@ -1,7 +1,6 @@
 package pointcloud
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -162,7 +161,8 @@ func TestSORPreservesMetadata(t *testing.T) {
 }
 
 func TestKNNExactness(t *testing.T) {
-	// Compare grid-accelerated kNN against brute force on a random cloud.
+	// Compare grid-accelerated kNN against the naive reference on a random
+	// cloud.
 	rng := rand.New(rand.NewSource(21))
 	var pts []Point
 	for i := 0; i < 120; i++ {
@@ -172,40 +172,14 @@ func TestKNNExactness(t *testing.T) {
 	for _, k := range []int{1, 3, 8} {
 		for i := 0; i < len(pts); i += 7 {
 			got := idx.nearest(i, k)
-			want := bruteKNN(pts, i, k)
-			if len(got) != len(want) {
-				t.Fatalf("k=%d i=%d len got %d want %d", k, i, len(got), len(want))
-			}
-			for j := range got {
-				if math.Abs(got[j]-want[j]) > 1e-9 {
-					t.Fatalf("k=%d i=%d dist[%d] got %v want %v", k, i, j, got[j], want[j])
-				}
+			if want := naiveKNN(pts, i, k); !sameBits(got, want) {
+				t.Fatalf("k=%d i=%d: got %v want %v", k, i, got, want)
 			}
 		}
 	}
 	if idx.nearest(0, 0) != nil {
 		t.Error("k=0 should return nil")
 	}
-}
-
-func bruteKNN(pts []Point, i, k int) []float64 {
-	var ds []float64
-	for j := range pts {
-		if j == i {
-			continue
-		}
-		ds = append(ds, pts[i].Pos.Dist(pts[j].Pos))
-	}
-	// insertion sort is fine for tests
-	for a := 1; a < len(ds); a++ {
-		for b := a; b > 0 && ds[b] < ds[b-1]; b-- {
-			ds[b], ds[b-1] = ds[b-1], ds[b]
-		}
-	}
-	if len(ds) > k {
-		ds = ds[:k]
-	}
-	return ds
 }
 
 func TestMaxAbs3(t *testing.T) {
