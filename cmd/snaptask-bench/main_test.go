@@ -60,3 +60,37 @@ func TestShrink(t *testing.T) {
 		t.Errorf("shrink(1) changed the input:\n%q\n%q", in, got)
 	}
 }
+
+func TestCheckIngestGateGrouped(t *testing.T) {
+	report := func(grouped float64) *ingestReport {
+		r := &ingestReport{Venue: "v", Sizes: []ingestRow{{Views: 1000, Speedup: 2, Identical: true}}}
+		if grouped > 0 {
+			r.Grouped = &groupedRow{Speedup: grouped}
+		}
+		return r
+	}
+	tests := []struct {
+		name             string
+		committed, fresh float64
+		errSubstr        string
+	}{
+		{name: "holds", committed: 2.65, fresh: 2.0},
+		{name: "floor is half the committed speedup", committed: 2.65, fresh: 1.3, errSubstr: "floor 1.32x"},
+		{name: "floor never below 1.2x", committed: 1.5, fresh: 1.1, errSubstr: "floor 1.20x"},
+		{name: "fresh run lost its grouped row", committed: 2.65, fresh: 0, errSubstr: "produced none"},
+		{name: "no committed grouped row", committed: 0, fresh: 1.0},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			err := checkIngestGate(report(tc.committed), report(tc.fresh))
+			switch {
+			case tc.errSubstr == "" && err != nil:
+				t.Fatalf("unexpected gate failure: %v", err)
+			case tc.errSubstr != "" && err == nil:
+				t.Fatal("gate passed, want failure")
+			case tc.errSubstr != "" && !strings.Contains(err.Error(), tc.errSubstr):
+				t.Fatalf("gate error %q, want it to mention %q", err, tc.errSubstr)
+			}
+		})
+	}
+}

@@ -99,9 +99,7 @@ func run(ctx context.Context, args []string) error {
 	venueName := fs.String("venue", "library", "venue: library, small or office")
 	seed := fs.Int64("seed", 42, "world seed (agents must use the same)")
 	margin := fs.Float64("margin", 12, "map margin beyond the venue bounds (m)")
-	partitions := fs.Int("partitions", 1,
-		"spatial SfM partitions reconstructed concurrently and merged per batch; 1 = monolithic model (ignored with -load, which restores the snapshot's partitioning)")
-	statePath := fs.String("load", "", "resume from a snapshot file (see GET /v1/snapshot)")
+	statePath := fs.String("load", "", "resume from a snapshot file (see GET /v1/snapshot); the snapshot's own config, margin included, replaces -margin")
 	savePath := fs.String("save", "", "write a state snapshot here on graceful shutdown")
 	journalPath := fs.String("journal", "",
 		"append campaign lifecycle events to this JSONL journal; on startup an existing journal is replayed to restore campaign counters and progress history (enables GET /v1/events and /v1/progress)")
@@ -208,10 +206,9 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	def, err := mgr.CreateDefault(campaign.Spec{
-		Venue:      *venueName,
-		Seed:       *seed,
-		Margin:     *margin,
-		Partitions: *partitions,
+		Venue:  *venueName,
+		Seed:   *seed,
+		Margin: *margin,
 	}, sys, *journalPath)
 	if err != nil {
 		return err

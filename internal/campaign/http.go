@@ -20,6 +20,7 @@ var (
 	ErrNotFound = errors.New("no such campaign")
 	ErrExists   = errors.New("campaign already exists")
 	ErrBadID    = errors.New("invalid campaign id")
+	ErrBadSpec  = errors.New("invalid campaign spec")
 )
 
 // ListResponse is the GET /v1/campaigns payload.
@@ -65,7 +66,7 @@ func lifecycleStatus(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrExists):
 		return http.StatusConflict
-	case errors.Is(err, ErrBadID):
+	case errors.Is(err, ErrBadID), errors.Is(err, ErrBadSpec):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError

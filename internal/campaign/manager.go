@@ -61,7 +61,9 @@ type Spec struct {
 	// Margin is the map margin beyond the venue bounds in metres
 	// (<=0 takes the server default of 12).
 	Margin float64 `json:"margin,omitempty"`
-	// Partitions is the spatial SfM partition count (<=0 means 1).
+	// Partitions is accepted only as 0 or 1 (one SfM model per campaign).
+	// The field outlives the partitioned backend so that older specs and
+	// manifests still decode; a larger value is rejected with ErrBadSpec.
 	Partitions int `json:"partitions,omitempty"`
 	// Archived is manifest state only: archived campaigns stay listable
 	// and readable but reject mutations and leave the shared pool.
@@ -235,11 +237,11 @@ func (m *Manager) create(spec Spec, sys *core.System) (*Campaign, error) {
 // server.New), dispatcher, admission instance and SLO tracker. Caller
 // holds m.mu.
 func (m *Manager) build(spec Spec, sys *core.System, isDefault bool, journalFile string) (*Campaign, error) {
+	if spec.Partitions > 1 {
+		return nil, fmt.Errorf("campaign: %w: partitions=%d (only 0 or 1 is supported)", ErrBadSpec, spec.Partitions)
+	}
 	if spec.Margin <= 0 {
 		spec.Margin = 12
-	}
-	if spec.Partitions <= 0 {
-		spec.Partitions = 1
 	}
 	v, err := venue.ByName(spec.Venue, spec.Seed)
 	if err != nil {
@@ -295,7 +297,7 @@ func (m *Manager) build(spec Spec, sys *core.System, isDefault bool, journalFile
 		}
 	}
 	if sys == nil {
-		sys, err = core.NewSystem(v, world, core.Config{Margin: spec.Margin, Partitions: spec.Partitions})
+		sys, err = core.NewSystem(v, world, core.Config{Margin: spec.Margin})
 		if err != nil {
 			_ = log.Close()
 			return nil, err

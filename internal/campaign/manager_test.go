@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -350,5 +352,31 @@ func TestSharedWorkerPool(t *testing.T) {
 		if resp.Campaign == "wing-a" {
 			t.Fatal("pool claimed from an archived campaign")
 		}
+	}
+}
+
+// TestPartitionedSpecRejected checks that a spec asking for more than one
+// SfM partition fails loudly — a 400 on create, an error on manifest
+// restore — instead of silently running one model.
+func TestPartitionedSpecRejected(t *testing.T) {
+	_, ts := newTestManager(t, ManagerConfig{})
+	var body map[string]string
+	code := postJSON(t, ts.URL+"/v1/campaigns",
+		map[string]any{"id": "gamma", "venue": "small", "seed": 7, "partitions": 4}, &body)
+	if code != http.StatusBadRequest {
+		t.Fatalf("partitions=4 create: code %d, want 400", code)
+	}
+	if !strings.Contains(body["error"], "partitions=4") {
+		t.Errorf("error %q does not name the partition count", body["error"])
+	}
+
+	root := t.TempDir()
+	manifest := `{"campaigns":[{"id":"gamma","venue":"small","seed":7,"partitions":4}]}`
+	if err := os.WriteFile(filepath.Join(root, "campaigns.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := NewManager(ManagerConfig{JournalRoot: root}); err == nil {
+		m.Close()
+		t.Fatal("manifest entry with partitions=4 restored")
 	}
 }

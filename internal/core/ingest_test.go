@@ -56,7 +56,7 @@ func requireMapEqual(t *testing.T, name string, a, b *grid.Map) {
 	bad := 0
 	a.Each(func(c grid.Cell, v int) {
 		if b.At(c) != v && bad == 0 {
-			t.Errorf("%s: cell %v = %d (incremental) vs %d (full)", name, c, v, b.At(c))
+			t.Errorf("%s: cell %v = %d vs %d", name, c, v, b.At(c))
 		}
 		if b.At(c) != v {
 			bad++

@@ -16,10 +16,12 @@ import (
 // recomputed from the model on load rather than stored.
 type systemSnapshot struct {
 	Config Config
-	// Model is the monolithic model state; PModel replaces it (and Model
-	// stays zero) when the system runs partitioned.
-	Model                 sfm.Snapshot
-	PModel                *sfm.PartitionedSnapshot
+	Model  sfm.Snapshot
+	// PModel is decode-only: snapshots written by the removed partitioned
+	// backend carried their model here (and left Model zero). It is never
+	// set on encode; a non-nil value on decode makes LoadSystem fail rather
+	// than restore an empty model.
+	PModel                *struct{ K int }
 	Generator             taskgen.Snapshot
 	Pending               []taskgen.Task
 	Covered               bool
@@ -35,6 +37,7 @@ type systemSnapshot struct {
 func (s *System) WriteSnapshot(w io.Writer) error {
 	snap := systemSnapshot{
 		Config:                s.cfg,
+		Model:                 s.model.Snapshot(),
 		Generator:             s.gen.Snapshot(),
 		Pending:               append([]taskgen.Task(nil), s.pending...),
 		Covered:               s.covered,
@@ -42,12 +45,6 @@ func (s *System) WriteSnapshot(w io.Writer) error {
 		PhotoTasksIssued:      s.photoTasksIssued,
 		AnnotationTasksIssued: s.annotationTasksIssued,
 		PhotosProcessed:       s.photosProcessed,
-	}
-	if s.pmodel != nil {
-		ps := s.pmodel.Snapshot()
-		snap.PModel = &ps
-	} else {
-		snap.Model = s.model.Snapshot()
 	}
 	if err := gob.NewEncoder(w).Encode(snap); err != nil {
 		return fmt.Errorf("core: encode snapshot: %w", err)
@@ -69,24 +66,19 @@ func LoadSystem(r io.Reader, v *venue.Venue, world *camera.World) (*System, erro
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("core: decode snapshot: %w", err)
 	}
+	if snap.PModel != nil {
+		return nil, fmt.Errorf("core: snapshot holds a %d-partition model; partitioned snapshots are no longer supported", snap.PModel.K)
+	}
 
 	s, err := NewSystem(v, world, snap.Config)
 	if err != nil {
 		return nil, err
 	}
-	if snap.PModel != nil {
-		pmodel, err := sfm.FromPartitionedSnapshot(*snap.PModel)
-		if err != nil {
-			return nil, err
-		}
-		s.pmodel, s.model = pmodel, nil
-	} else {
-		model, err := sfm.FromSnapshot(snap.Model)
-		if err != nil {
-			return nil, err
-		}
-		s.model, s.pmodel = model, nil
+	model, err := sfm.FromSnapshot(snap.Model)
+	if err != nil {
+		return nil, err
 	}
+	s.model = model
 	gen, err := taskgen.FromSnapshot(snap.Generator)
 	if err != nil {
 		return nil, err
@@ -100,14 +92,9 @@ func LoadSystem(r io.Reader, v *venue.Venue, world *camera.World) (*System, erro
 	s.photosProcessed = snap.PhotosProcessed
 
 	// Restore artificial features into the capture world so future photos
-	// see the imprinted textures. Every partition holds the full feature
-	// oracle, so partition 0's list is the complete one.
-	features := snap.Model.Features
-	if snap.PModel != nil {
-		features = snap.PModel.Parts[0].Features
-	}
+	// see the imprinted textures.
 	var artificial []venue.Feature
-	for _, f := range features {
+	for _, f := range snap.Model.Features {
 		if f.Artificial {
 			artificial = append(artificial, venue.Feature{ID: f.ID, Pos: f.Pos, Artificial: true})
 		}

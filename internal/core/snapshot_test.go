@@ -2,12 +2,16 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"snaptask/internal/camera"
 	"snaptask/internal/crowd"
 	"snaptask/internal/metrics"
+	"snaptask/internal/sfm"
+	"snaptask/internal/taskgen"
 	"snaptask/internal/venue"
 )
 
@@ -123,5 +127,47 @@ func TestLoadSystemValidation(t *testing.T) {
 	world := camera.NewWorld(v, nil)
 	if _, err := LoadSystem(&buf, v, world); err == nil {
 		t.Error("empty snapshot stream accepted")
+	}
+}
+
+// TestLoadSystemRejectsPModelSnapshot feeds LoadSystem a stream in the
+// shape the removed partitioned backend wrote (zero Model, K sub-models
+// under PModel). Decoding it as a plain snapshot would restore an empty
+// model still carrying the pending tasks and covered flag, so it must fail
+// instead, naming the cause.
+func TestLoadSystemRejectsPModelSnapshot(t *testing.T) {
+	type legacyPModel struct {
+		K     int
+		Parts []sfm.Snapshot
+	}
+	type legacySnapshot struct {
+		Config          Config
+		Model           sfm.Snapshot
+		PModel          *legacyPModel
+		Pending         []taskgen.Task
+		Covered         bool
+		PhotosProcessed int
+	}
+	part := sfm.NewModel(sfm.Config{}, nil).Snapshot()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(legacySnapshot{
+		Config:          Config{Margin: 3},
+		PModel:          &legacyPModel{K: 4, Parts: []sfm.Snapshot{part, part, part, part}},
+		Pending:         []taskgen.Task{{ID: 7}},
+		Covered:         true,
+		PhotosProcessed: 354,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	v, err := venue.SmallRoom()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadSystem(&buf, v, camera.NewWorld(v, nil))
+	if err == nil {
+		t.Fatal("partitioned snapshot restored as a monolithic system")
+	}
+	if !strings.Contains(err.Error(), "4-partition") {
+		t.Errorf("error %q does not name the partitioned model", err)
 	}
 }
