@@ -936,24 +936,35 @@ func checkIngestGate(committed, fresh *ingestReport) error {
 	return nil
 }
 
-// restartRow is one event-volume point of the restart benchmark.
+// restartRow is one event-volume point of the restart benchmark. Each
+// timing is the median of restartTrials opens, with the min and max beside
+// it as the spread.
 type restartRow struct {
 	Mult       int    `json:"mult"`
 	Events     uint64 `json:"events"`
 	TailEvents uint64 `json:"tail_events"`
 	// CheckpointMS: open the checkpointing directory store and replay —
 	// newest checkpoint + tail only.
-	CheckpointMS float64 `json:"checkpoint_restart_ms"`
-	// FullReplayMS: open the single-file journal and fold every event from
-	// seq 1 — the O(lifetime) path the checkpoint store replaces.
-	FullReplayMS float64 `json:"full_replay_restart_ms"`
+	CheckpointMS    float64 `json:"checkpoint_restart_ms"`
+	CheckpointMinMS float64 `json:"checkpoint_restart_min_ms"`
+	CheckpointMaxMS float64 `json:"checkpoint_restart_max_ms"`
+	// FullReplayMS: open the same store written without checkpoints (so
+	// nothing was compacted) and fold every event from seq 1 — the
+	// O(lifetime) path checkpoints replace.
+	FullReplayMS    float64 `json:"full_replay_restart_ms"`
+	FullReplayMinMS float64 `json:"full_replay_restart_min_ms"`
+	FullReplayMaxMS float64 `json:"full_replay_restart_max_ms"`
 }
+
+// restartTrials is how many times each restart is timed.
+const restartTrials = 5
 
 // restartReport is the machine-readable BENCH_restart.json payload.
 type restartReport struct {
 	Seed           int64        `json:"seed"`
 	Quick          bool         `json:"quick"`
 	GoMaxProcs     int          `json:"gomaxprocs"`
+	Trials         int          `json:"trials"`
 	CampaignEvents int          `json:"campaign_events"`
 	ChurnBase      int          `json:"churn_base_events"`
 	Rows           []restartRow `json:"rows"`
@@ -968,9 +979,10 @@ type restartReport struct {
 // venue converges once) followed by dispatch churn — claims, expiries,
 // requeues — that keeps growing for as long as the deployment runs. The
 // churn phase is scaled 1x vs 100x and the restart (open + replay) is timed
-// over the checkpointing directory store and over a plain single-file
-// journal. The journal restart is O(lifetime); the checkpointed restart
-// replays only the tail after the newest checkpoint and must stay flat.
+// over the checkpointing directory store and over the same store written
+// with checkpoints disabled. The full replay is O(lifetime); the
+// checkpointed restart replays only the tail after the newest checkpoint
+// and must stay flat.
 func (b *bench) restart() error {
 	// Load the committed baseline before anything is written: -restart-gate
 	// and -restart-out may name the same file.
@@ -994,20 +1006,23 @@ func (b *bench) restart() error {
 		Seed:           b.seed,
 		Quick:          b.quick,
 		GoMaxProcs:     runtime.GOMAXPROCS(0),
+		Trials:         restartTrials,
 		CampaignEvents: campaignN,
 		ChurnBase:      churnBase,
 	}
 
-	fmt.Println("Restart cost — checkpointed store vs full journal replay:")
-	fmt.Println("  churn      events   tail  checkpoint(ms)  full-replay(ms)")
+	fmt.Printf("Restart cost — checkpointed store vs full replay (median [min, max] of %d):\n", restartTrials)
+	fmt.Println("  churn      events   tail     checkpoint(ms)            full-replay(ms)")
 	for _, mult := range []int{1, 100} {
 		row, err := b.restartAt(mult, campaignN, churnBase*mult)
 		if err != nil {
 			return fmt.Errorf("restart at %dx: %w", mult, err)
 		}
 		report.Rows = append(report.Rows, row)
-		fmt.Printf("  %4dx  %10d  %5d  %14.1f  %15.1f\n",
-			row.Mult, row.Events, row.TailEvents, row.CheckpointMS, row.FullReplayMS)
+		fmt.Printf("  %4dx  %10d  %5d  %6.1f [%.1f, %.1f]  %8.1f [%.1f, %.1f]\n",
+			row.Mult, row.Events, row.TailEvents,
+			row.CheckpointMS, row.CheckpointMinMS, row.CheckpointMaxMS,
+			row.FullReplayMS, row.FullReplayMinMS, row.FullReplayMaxMS)
 	}
 	base, top := report.Rows[0], report.Rows[len(report.Rows)-1]
 	if base.CheckpointMS > 0 {
@@ -1040,32 +1055,31 @@ func (b *bench) restart() error {
 }
 
 // restartAt builds one synthetic campaign history at the given churn volume
-// in both store layouts and returns the median restart timings.
+// twice — with and without checkpoints — and returns the restart timings.
 func (b *bench) restartAt(mult, campaignN, churnN int) (restartRow, error) {
 	dir, err := os.MkdirTemp("", "snaptask-restart-*")
 	if err != nil {
 		return restartRow{}, err
 	}
 	defer os.RemoveAll(dir)
-	ckptDir := dir + "/campaign.d"
-	journalPath := dir + "/campaign.jsonl"
+	ckptDir, fullDir := dir+"/campaign.d", dir+"/full.d"
+	segOpts := events.DirStoreOptions{SegmentMaxBytes: 1 << 20}
+	ckptPolicy := events.CheckpointPolicy{Every: 4096}
 
 	// The checkpointing store compacts as it goes, so even the 100x history
-	// stays small on disk; the flat journal keeps everything.
-	lc, err := events.OpenDir(ckptDir, nil,
-		events.DirStoreOptions{SegmentMaxBytes: 1 << 20},
-		events.CheckpointPolicy{Every: 4096})
+	// stays small on disk; the store without checkpoints keeps everything.
+	lc, err := events.OpenDir(ckptDir, nil, segOpts, ckptPolicy)
 	if err != nil {
 		return restartRow{}, err
 	}
-	lj, err := events.Open(journalPath, nil)
+	lf, err := events.OpenDir(fullDir, nil, segOpts, events.CheckpointPolicy{})
 	if err != nil {
 		return restartRow{}, err
 	}
 
 	emit := func(e events.Event) {
 		lc.Emit(e)
-		lj.Emit(e)
+		lf.Emit(e)
 	}
 	sync := func() error {
 		if err := lc.Commit(); err != nil {
@@ -1076,7 +1090,7 @@ func (b *bench) restartAt(mult, campaignN, churnN int) (restartRow, error) {
 				return err
 			}
 		}
-		return lj.Commit()
+		return lf.Commit()
 	}
 	// Fixed mapping phase: tasks issued, batches accepted, coverage grows.
 	for i := 0; i < campaignN/4; i++ {
@@ -1129,60 +1143,51 @@ func (b *bench) restartAt(mult, campaignN, churnN int) (restartRow, error) {
 	if err := lc.Close(); err != nil {
 		return restartRow{}, err
 	}
-	if err := lj.Close(); err != nil {
+	if err := lf.Close(); err != nil {
 		return restartRow{}, err
 	}
 
-	const trials = 3
-	median := func(ds []time.Duration) float64 {
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		return float64(ds[len(ds)/2]) / 1e6
-	}
-	var tail uint64
-	var ckptTimes, fullTimes []time.Duration
-	for i := 0; i < trials; i++ {
+	// reopen times one restart (open + replay) of the store at dir and
+	// returns the sequence number its newest checkpoint covers.
+	reopen := func(dir string, policy events.CheckpointPolicy) (time.Duration, uint64, error) {
 		t0 := time.Now()
-		l, err := events.OpenDir(ckptDir, nil,
-			events.DirStoreOptions{SegmentMaxBytes: 1 << 20},
-			events.CheckpointPolicy{Every: 4096})
+		l, err := events.OpenDir(dir, nil, segOpts, policy)
 		if err != nil {
-			return restartRow{}, err
+			return 0, 0, err
 		}
 		if err := l.Replay(); err != nil {
-			return restartRow{}, err
+			return 0, 0, err
 		}
-		ckptTimes = append(ckptTimes, time.Since(t0))
+		d := time.Since(t0)
 		if l.LastSeq() != total {
-			return restartRow{}, fmt.Errorf("checkpointed replay lost events: %d != %d", l.LastSeq(), total)
+			return 0, 0, fmt.Errorf("replay of %s lost events: %d != %d", dir, l.LastSeq(), total)
 		}
-		tail = l.LastSeq() - l.CheckpointSeq()
-		if err := l.Close(); err != nil {
-			return restartRow{}, err
-		}
-
-		t0 = time.Now()
-		l, err = events.Open(journalPath, nil)
-		if err != nil {
-			return restartRow{}, err
-		}
-		if err := l.Replay(); err != nil {
-			return restartRow{}, err
-		}
-		fullTimes = append(fullTimes, time.Since(t0))
-		if l.LastSeq() != total {
-			return restartRow{}, fmt.Errorf("journal replay lost events: %d != %d", l.LastSeq(), total)
-		}
-		if err := l.Close(); err != nil {
-			return restartRow{}, err
-		}
+		return d, l.CheckpointSeq(), l.Close()
 	}
-	return restartRow{
-		Mult:         mult,
-		Events:       total,
-		TailEvents:   tail,
-		CheckpointMS: median(ckptTimes),
-		FullReplayMS: median(fullTimes),
-	}, nil
+	row := restartRow{Mult: mult, Events: total}
+	var ckptTimes, fullTimes []time.Duration
+	for i := 0; i < restartTrials; i++ {
+		d, ckptSeq, err := reopen(ckptDir, ckptPolicy)
+		if err != nil {
+			return restartRow{}, err
+		}
+		ckptTimes = append(ckptTimes, d)
+		row.TailEvents = total - ckptSeq
+		if d, _, err = reopen(fullDir, events.CheckpointPolicy{}); err != nil {
+			return restartRow{}, err
+		}
+		fullTimes = append(fullTimes, d)
+	}
+	row.CheckpointMS, row.CheckpointMinMS, row.CheckpointMaxMS = medianSpreadMS(ckptTimes)
+	row.FullReplayMS, row.FullReplayMinMS, row.FullReplayMaxMS = medianSpreadMS(fullTimes)
+	return row, nil
+}
+
+// medianSpreadMS returns the median, min and max of ds in milliseconds.
+func medianSpreadMS(ds []time.Duration) (med, lo, hi float64) {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
+	return ms(ds[len(ds)/2]), ms(ds[0]), ms(ds[len(ds)-1])
 }
 
 // checkRestartGate fails when the fresh restart report breaks the flat-

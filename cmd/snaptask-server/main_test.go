@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,11 +56,16 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := run(ctx, []string{"-log-format", "xml"}); err == nil {
 		t.Error("bogus log format accepted")
 	}
+	// The single-file journal and the -save snapshot are gone: persistence
+	// is -journal-dir only, and the old flags fail at parse.
+	for _, f := range []string{"-journal", "-save"} {
+		err := run(ctx, []string{f, "x"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s x: err = %v, want a flag parse error", f, err)
+		}
+	}
 }
 
-// TestGracefulShutdown cancels the serve context (the SIGINT/SIGTERM path)
-// and expects run to drain, save the -save snapshot, and return nil rather
-// than ErrServerClosed.
 // TestPprofEndpoint starts the server with -pprof-addr and expects the
 // profiling index to come up on the side listener (and only there — the
 // default is off, covered by the main API mux having no /debug routes).
@@ -111,12 +117,15 @@ func TestPprofEndpoint(t *testing.T) {
 	}
 }
 
+// TestGracefulShutdown cancels the serve context (the SIGINT/SIGTERM path)
+// and expects run to drain, write the shutdown checkpoint with the model
+// (<journal-dir>/model.snap), and return nil rather than ErrServerClosed.
 func TestGracefulShutdown(t *testing.T) {
-	save := filepath.Join(t.TempDir(), "state.snap")
+	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-venue", "small", "-save", save})
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-venue", "small", "-journal-dir", dir})
 	}()
 	// Shutdown-before-Serve is handled by net/http (Serve returns
 	// ErrServerClosed immediately), so an early cancel is safe too.
@@ -131,8 +140,8 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatal("run did not return after context cancellation")
 	}
 
-	// The saved snapshot restores into a working system.
-	f, err := os.Open(save)
+	// The shutdown model snapshot restores into a working system.
+	f, err := os.Open(filepath.Join(dir, "model.snap"))
 	if err != nil {
 		t.Fatalf("snapshot not saved: %v", err)
 	}
@@ -149,8 +158,9 @@ func TestGracefulShutdown(t *testing.T) {
 
 // TestLeaseLifecycleE2E drives the full dispatch story against the real
 // server entrypoint: registration, claims, reassignment after the holder
-// stops heartbeating, blur exclusion, and a restart over the journal that
-// restores the /v1/status dispatch section byte-identically.
+// stops heartbeating, blur exclusion, and a restart over the journal
+// directory — from the shutdown checkpoint and model.snap — that restores
+// the /v1/status dispatch section byte-identically.
 func TestLeaseLifecycleE2E(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -158,9 +168,8 @@ func TestLeaseLifecycleE2E(t *testing.T) {
 	}
 	addr := l.Addr().String()
 	l.Close()
-	journal := filepath.Join(t.TempDir(), "journal.jsonl")
 	args := []string{
-		"-addr", addr, "-venue", "small", "-journal", journal,
+		"-addr", addr, "-venue", "small", "-journal-dir", t.TempDir(),
 		"-lease-ttl", "1s", "-log-level", "error",
 	}
 
@@ -233,9 +242,9 @@ func TestLeaseLifecycleE2E(t *testing.T) {
 		t.Fatal("re-issued task kept the old ID")
 	}
 
-	before := dispatchStatusJSON(t, addr)
+	before := statusJSON(t, addr)
 
-	// Restart over the same journal.
+	// Restart over the same journal directory.
 	cancel()
 	select {
 	case err := <-done:
@@ -258,9 +267,9 @@ func TestLeaseLifecycleE2E(t *testing.T) {
 	}()
 	waitReady(t, addr)
 
-	after := dispatchStatusJSON(t, addr)
+	after := statusJSON(t, addr)
 	if before != after {
-		t.Fatalf("dispatch status diverged across restart:\nbefore: %s\nafter:  %s", before, after)
+		t.Fatalf("status diverged across restart:\nbefore: %s\nafter:  %s", before, after)
 	}
 }
 
@@ -283,9 +292,10 @@ func waitReady(t *testing.T, addr string) {
 	}
 }
 
-// dispatchStatusJSON fetches /v1/status and renders its dispatch section
-// canonically (map keys sort on marshal).
-func dispatchStatusJSON(t *testing.T, addr string) string {
+// statusJSON fetches /v1/status and renders it canonically (map keys sort
+// on marshal): the model fields, the lifecycle fold and the dispatch
+// section.
+func statusJSON(t *testing.T, addr string) string {
 	t.Helper()
 	resp, err := http.Get("http://" + addr + "/v1/status")
 	if err != nil {
@@ -296,11 +306,12 @@ func dispatchStatusJSON(t *testing.T, addr string) string {
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		t.Fatal(err)
 	}
-	d, ok := status["dispatch"]
-	if !ok {
-		t.Fatal("status has no dispatch section")
+	for _, section := range []string{"lifecycle", "dispatch"} {
+		if _, ok := status[section]; !ok {
+			t.Fatalf("status has no %s section", section)
+		}
 	}
-	b, err := json.Marshal(d)
+	b, err := json.Marshal(status)
 	if err != nil {
 		t.Fatal(err)
 	}

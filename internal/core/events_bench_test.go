@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"snaptask/internal/camera"
@@ -19,27 +18,21 @@ import (
 // of the bare one — per batch it is a handful of small JSON marshals into a
 // buffered writer plus a single fsync.
 func BenchmarkIngestJournaled(b *testing.B) {
-	for _, mode := range []string{"off", "on", "dir"} {
+	for _, mode := range []string{"off", "dir"} {
 		b.Run("journal="+mode, func(b *testing.B) {
 			snap := ingestBase(b, 500)
 			sys, err := LoadSystem(bytes.NewReader(snap), ingestEnv.v, ingestEnv.w)
 			if err != nil {
 				b.Fatal(err)
 			}
-			var evlog *events.Log
-			switch mode {
-			case "on":
-				evlog, err = events.Open(filepath.Join(b.TempDir(), "journal.jsonl"), nil)
-			case "dir":
+			if mode == "dir" {
 				// The checkpointing store with rotation in play: segment
 				// rollover must not cost the hot path anything measurable.
-				evlog, err = events.OpenDir(b.TempDir(), nil,
+				evlog, err := events.OpenDir(b.TempDir(), nil,
 					events.DirStoreOptions{SegmentMaxBytes: 1 << 20}, events.CheckpointPolicy{})
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			if evlog != nil {
+				if err != nil {
+					b.Fatal(err)
+				}
 				defer func() {
 					if err := evlog.Close(); err != nil {
 						b.Fatal(err)

@@ -279,16 +279,6 @@ func (ds *DirStore) rotateLocked() error {
 	return nil
 }
 
-// Flush pushes buffered appends to the OS (no fsync).
-func (ds *DirStore) Flush() error {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if ds.err != nil {
-		return ds.err
-	}
-	return ds.active.Flush()
-}
-
 // Sync flushes and fsyncs the active segment. Sealed segments were fsynced
 // when they rotated out, so after Sync the full history is durable.
 func (ds *DirStore) Sync() error {
@@ -423,8 +413,3 @@ func (ds *DirStore) Close() error {
 	defer ds.mu.Unlock()
 	return ds.active.Close()
 }
-
-var (
-	_ Store           = (*DirStore)(nil)
-	_ CheckpointStore = (*DirStore)(nil)
-)

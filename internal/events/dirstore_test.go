@@ -418,10 +418,11 @@ func TestJournalAppendSeqRegressionPoisons(t *testing.T) {
 }
 
 func TestReadAfterSurfacesMidFileCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.jsonl")
+	dir := t.TempDir()
+	path := filepath.Join(dir, segName(1))
 	reg := telemetry.NewRegistry()
 	m := telemetry.NewEventMetrics(reg)
-	l, err := Open(path, m)
+	l, err := OpenDir(dir, m, DirStoreOptions{}, CheckpointPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,17 +548,13 @@ func TestLogCheckpointDueTriggers(t *testing.T) {
 		t.Fatal("not due after the interval elapsed")
 	}
 
-	// A plain journal-backed log never checkpoints.
-	lj, err := Open(filepath.Join(t.TempDir(), "j.jsonl"), nil)
-	if err != nil {
-		t.Fatal(err)
+	// A store-less, live-only log never checkpoints.
+	ll := NewLog(nil)
+	emitAll(t, ll, sampleEvents())
+	if ll.CheckpointDue() {
+		t.Fatal("store-less log reports checkpoint due")
 	}
-	defer lj.Close()
-	emitAll(t, lj, sampleEvents())
-	if lj.CheckpointDue() {
-		t.Fatal("journal-backed log reports checkpoint due")
-	}
-	if err := lj.WriteCheckpoint(nil); err != nil {
-		t.Fatalf("WriteCheckpoint on journal store: %v (want nil no-op)", err)
+	if err := ll.WriteCheckpoint(nil); err != nil {
+		t.Fatalf("WriteCheckpoint on a store-less log: %v (want nil no-op)", err)
 	}
 }

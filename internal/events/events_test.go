@@ -41,9 +41,12 @@ func emitAll(t *testing.T, l *Log, evs []Event) {
 	}
 }
 
+// TestJournalTruncatedFinalLineRecovery tears the active segment mid-line,
+// as a crash mid-append would, and demands the reopened store hold exactly
+// the complete prefix and keep numbering after it.
 func TestJournalTruncatedFinalLineRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	l, err := Open(path, nil)
+	dir := t.TempDir()
+	l, err := OpenDir(dir, nil, DirStoreOptions{}, CheckpointPolicy{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -51,40 +54,30 @@ func TestJournalTruncatedFinalLineRecovery(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	whole, err := os.ReadFile(path)
+	seg := filepath.Join(dir, segName(1))
+	whole, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
 
 	// Simulate a crash mid-append: keep a prefix ending inside the last line.
 	torn := whole[:len(whole)-7]
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
+	if err := os.WriteFile(seg, torn, 0o644); err != nil {
 		t.Fatalf("write torn: %v", err)
 	}
 
-	j, err := OpenJournal(path)
+	ds, err := OpenDirStore(dir, DirStoreOptions{})
 	if err != nil {
 		t.Fatalf("reopen torn: %v", err)
 	}
-	defer j.Close()
+	defer ds.Close()
 	wantEvents := len(sampleEvents()) - 1
-	if j.Len() != wantEvents {
-		t.Fatalf("after torn-tail recovery Len = %d, want %d", j.Len(), wantEvents)
+	if ds.LastSeq() != uint64(wantEvents) {
+		t.Fatalf("after torn-tail recovery LastSeq = %d, want %d", ds.LastSeq(), wantEvents)
 	}
-	if j.LastSeq() != uint64(wantEvents) {
-		t.Fatalf("after torn-tail recovery LastSeq = %d, want %d", j.LastSeq(), wantEvents)
-	}
-	var got []Event
-	if err := j.ReadAfter(0, func(e Event) error { got = append(got, e); return nil }); err != nil {
-		t.Fatalf("read after recovery: %v", err)
-	}
-	if len(got) != wantEvents {
-		t.Fatalf("recovered %d events, want %d", len(got), wantEvents)
-	}
-	for i, e := range got {
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("event %d has seq %d, want %d", i, e.Seq, i+1)
-		}
+	wantContiguous(t, readSeqs(t, ds, 0), 1, wantEvents)
+	if err := ds.Append(dirEvent(wantEvents + 1)); err != nil {
+		t.Fatalf("append after recovery: %v", err)
 	}
 }
 
@@ -92,9 +85,9 @@ func TestJournalReplayThenAppendByteIdentical(t *testing.T) {
 	evs := sampleEvents()
 	split := 6
 
-	// Uninterrupted run: all events through one journal.
-	unPath := filepath.Join(t.TempDir(), "uninterrupted.jsonl")
-	un, err := Open(unPath, nil)
+	// Uninterrupted run: all events through one store.
+	unDir := t.TempDir()
+	un, err := OpenDir(unDir, nil, DirStoreOptions{}, CheckpointPolicy{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -105,8 +98,8 @@ func TestJournalReplayThenAppendByteIdentical(t *testing.T) {
 
 	// Interrupted run: emit a prefix, close ("crash" after fsync), reopen
 	// with replay, emit the rest.
-	rePath := filepath.Join(t.TempDir(), "restarted.jsonl")
-	first, err := Open(rePath, nil)
+	reDir := t.TempDir()
+	first, err := OpenDir(reDir, nil, DirStoreOptions{}, CheckpointPolicy{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -114,7 +107,7 @@ func TestJournalReplayThenAppendByteIdentical(t *testing.T) {
 	if err := first.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	second, err := Open(rePath, nil)
+	second, err := OpenDir(reDir, nil, DirStoreOptions{}, CheckpointPolicy{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -135,16 +128,64 @@ func TestJournalReplayThenAppendByteIdentical(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	a, err := os.ReadFile(unPath)
+	a, err := os.ReadFile(filepath.Join(unDir, segName(1)))
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	b, err := os.ReadFile(rePath)
+	b, err := os.ReadFile(filepath.Join(reDir, segName(1)))
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	if string(a) != string(b) {
 		t.Fatalf("replay-then-append journal differs from uninterrupted run:\n--- uninterrupted ---\n%s\n--- restarted ---\n%s", a, b)
+	}
+}
+
+// TestSingleFileJournalMigratesToDirStore pins the upgrade path for a
+// journal written by the removed single-file store: the file, moved into
+// an empty directory as the first segment, opens as a DirStore whose
+// replay folds to the same counters and progress as the original history,
+// and new events continue its numbering.
+func TestSingleFileJournalMigratesToDirStore(t *testing.T) {
+	old := filepath.Join(t.TempDir(), "campaign.jsonl")
+	j, err := OpenJournal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := NewCampaign()
+	evs := sampleEvents()
+	for i, e := range evs {
+		e.Seq = uint64(i + 1)
+		if err := j.Append(e); err != nil {
+			t.Fatal(err)
+		}
+		want.Apply(e)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	if err := os.Rename(old, filepath.Join(dir, "events-0000000000000001.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenDir(dir, nil, DirStoreOptions{}, CheckpointPolicy{})
+	if err != nil {
+		t.Fatalf("open migrated journal: %v", err)
+	}
+	defer l.Close()
+	if err := l.Replay(); err != nil {
+		t.Fatalf("replay migrated journal: %v", err)
+	}
+	if got := l.Campaign().Counters(); got != want.Counters() {
+		t.Fatalf("migrated counters %+v != original fold %+v", got, want.Counters())
+	}
+	if got := l.Campaign().Progress(); !reflect.DeepEqual(got, want.Progress()) {
+		t.Fatalf("migrated progress %+v != original fold %+v", got, want.Progress())
+	}
+	emitAll(t, l, []Event{{T: fixedTime(99), Kind: KindTaskIssued, TaskKind: "photo"}})
+	if got := l.LastSeq(); got != uint64(len(evs))+1 {
+		t.Fatalf("post-migration LastSeq = %d, want %d", got, len(evs)+1)
 	}
 }
 
@@ -221,8 +262,7 @@ func TestBusEvictsSlowSubscriber(t *testing.T) {
 }
 
 func TestReadAfterSkipsServedPrefix(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	l, err := Open(path, nil)
+	l, err := OpenDir(t.TempDir(), nil, DirStoreOptions{}, CheckpointPolicy{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}

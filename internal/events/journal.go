@@ -10,21 +10,21 @@ import (
 	"sync"
 )
 
-// Journal is the append-only JSONL event file: one event per line, encoded
-// with encoding/json (deterministic field order), so the file is greppable,
-// diffable, and byte-reproducible — replaying a journal and appending to it
-// produces exactly the bytes an uninterrupted run would have written.
+// Journal is one append-only JSONL segment of a DirStore: one event per
+// line, encoded with encoding/json (deterministic field order), so the file
+// is greppable, diffable, and byte-reproducible — replaying a store and
+// appending to it produces exactly the bytes an uninterrupted run would
+// have written.
 //
 // Crash safety: appends are buffered and pushed to the OS on Flush; Sync
 // additionally fsyncs (the model owner calls it once per processed batch, so
 // a crash loses at most the in-flight batch's events). A torn final line —
-// the signature of a crash mid-append — is detected and truncated away on
-// Open, restoring the longest valid prefix.
+// the signature of a crash mid-append — is detected and truncated away by
+// OpenJournal, restoring the longest valid prefix.
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	w    *bufio.Writer
-	path string
+	mu sync.Mutex
+	f  *os.File
+	w  *bufio.Writer
 	// size is the validated file length (end of the last complete line);
 	// appends grow it.
 	size int64
@@ -45,7 +45,7 @@ func OpenJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("events: open journal: %w", err)
 	}
-	j := &Journal{f: f, path: path}
+	j := &Journal{f: f}
 	valid, lastSeq, count, err := scanJournal(f)
 	if err != nil {
 		f.Close()
@@ -128,13 +128,6 @@ func (j *Journal) Size() int64 {
 	return j.size
 }
 
-// Horizon is always 0: the single-file journal never compacts, every event
-// since seq 1 stays readable (that unbounded growth is exactly what the
-// DirStore backend exists to fix).
-func (j *Journal) Horizon() uint64 { return 0 }
-
-var _ Store = (*Journal)(nil)
-
 // Append buffers one event line. The write reaches the OS on Flush/Sync.
 // Sequence numbers are validated: on a non-empty journal e.Seq must be
 // exactly LastSeq()+1 (an empty journal accepts any positive starting seq,
@@ -202,32 +195,20 @@ func (j *Journal) Sync() error {
 	return j.err
 }
 
-// ReadAfter streams every stored event with Seq > after to fn, in order.
-// It flushes pending appends first and reads through an independent handle,
-// so it is safe to call while the owner keeps appending: the scan simply
-// stops at the last complete line present when it gets there. fn returning
-// an error aborts the scan and is returned.
+// readSegmentFile streams events with Seq > after from one JSONL file,
+// through an independent handle, so it is safe to call while the owner
+// keeps appending: the scan simply stops at the last complete line present
+// when it gets there. fn returning an error aborts the scan and is
+// returned.
 //
-// Only a *final fragment without a newline* is benign (a concurrent append
-// the buffered writer cut mid-line); a complete line that fails to parse is
-// mid-file corruption — OpenJournal already truncated any crash-torn tail,
-// so garbage inside the validated region means the file was damaged after
-// the fact. That case fails with ErrCorrupt instead of silently truncating
-// the replay.
-func (j *Journal) ReadAfter(after uint64, fn func(Event) error) error {
-	j.mu.Lock()
-	if err := j.flushLocked(); err != nil {
-		j.mu.Unlock()
-		return err
-	}
-	path := j.path
-	j.mu.Unlock()
-	return readSegmentFile(path, after, false, fn)
-}
-
-// readSegmentFile streams events with Seq > after from one JSONL file.
-// sealed marks a rotated-out segment: it can never have a concurrent
-// appender, so even a trailing fragment is corruption there.
+// Only a final fragment without a newline in the active segment is benign
+// (a concurrent append the buffered writer cut mid-line). sealed marks a
+// rotated-out segment: it can never have a concurrent appender, so even a
+// trailing fragment is corruption there. A complete line that fails to
+// parse is mid-file corruption anywhere — OpenJournal already truncated
+// any crash-torn tail, so garbage inside the validated region means the
+// file was damaged after the fact. That case fails with ErrCorrupt instead
+// of silently truncating the replay.
 func readSegmentFile(path string, after uint64, sealed bool, fn func(Event) error) error {
 	f, err := os.Open(path)
 	if err != nil {

@@ -18,7 +18,7 @@ import (
 // unconditionally.
 type Log struct {
 	mu    sync.Mutex
-	store Store
+	store *DirStore // nil for a live-only hub (NewLog)
 	bus   *Bus
 	camp  *Campaign
 	m     *telemetry.EventMetrics
@@ -31,7 +31,7 @@ type Log struct {
 	// single-campaign journals byte-identical).
 	campaignID string
 
-	// Checkpointing state (meaningful only when store is a CheckpointStore).
+	// Checkpointing state (meaningful only with a store).
 	policy       CheckpointPolicy
 	now          func() time.Time
 	ckptSeq      uint64          // seq covered by the newest checkpoint
@@ -51,24 +51,13 @@ type CheckpointPolicy struct {
 	Every uint64
 }
 
-// Open opens (or creates) the single-file journal at path and returns a hub
-// over it. Call Replay before serving to fold stored history into the
-// campaign aggregate. metrics may be nil.
-func Open(path string, m *telemetry.EventMetrics) (*Log, error) {
-	j, err := OpenJournal(path)
-	if err != nil {
-		return nil, err
-	}
-	l := NewLog(m)
-	l.store = j
-	l.seq = j.LastSeq()
-	return l, nil
-}
-
 // OpenDir opens (or initialises) the checkpointing directory store at dir
-// and returns a hub over it. Restart cost is O(checkpoint + tail): Replay
-// restores the newest valid checkpoint and folds only the events after it.
-// metrics may be nil.
+// and returns a hub over it. Call Replay before serving to fold stored
+// history into the campaign aggregate. Restart cost is O(checkpoint +
+// tail): Replay restores the newest valid checkpoint and folds only the
+// events after it; with the zero policy and no explicit WriteCheckpoint
+// there is no checkpoint, and Replay folds the full history. metrics may
+// be nil.
 func OpenDir(dir string, m *telemetry.EventMetrics, opts DirStoreOptions, policy CheckpointPolicy) (*Log, error) {
 	ds, err := OpenDirStore(dir, opts)
 	if err != nil {
@@ -101,7 +90,7 @@ func NewLog(m *telemetry.EventMetrics) *Log {
 }
 
 // Replay restores the campaign aggregate: the newest checkpoint's folded
-// state first (when the store has one), then every stored event after it,
+// state first (when there is one), then every stored event after it,
 // producing exactly the counters and progress history an uninterrupted run
 // would hold. Call once, before Emit.
 func (l *Log) Replay() error {
@@ -109,11 +98,9 @@ func (l *Log) Replay() error {
 		return nil
 	}
 	from := uint64(0)
-	if cs, ok := l.store.(CheckpointStore); ok {
-		if c, ok := cs.Checkpoint(); ok {
-			l.camp.Restore(c.Counters, c.Points)
-			from = c.Seq
-		}
+	if c, ok := l.store.Checkpoint(); ok {
+		l.camp.Restore(c.Counters, c.Points)
+		from = c.Seq
 	}
 	err := l.store.ReadAfter(from, func(e Event) error {
 		l.camp.Apply(e)
@@ -185,12 +172,9 @@ func (l *Log) Commit() error {
 
 // CheckpointDue reports whether the policy calls for a new checkpoint:
 // events were folded since the last one, and either the count or the time
-// trigger fired. Always false for non-checkpointing stores.
+// trigger fired. Always false for a store-less hub.
 func (l *Log) CheckpointDue() bool {
-	if l == nil {
-		return false
-	}
-	if _, ok := l.store.(CheckpointStore); !ok {
+	if l == nil || l.store == nil {
 		return false
 	}
 	l.mu.Lock()
@@ -213,14 +197,10 @@ func (l *Log) CheckpointDue() bool {
 // checkpointed state (the server holds the owner and dispatcher locks).
 // The tail is fsynced first, so the checkpoint never covers events that
 // could be lost, and the write is atomic (temp file, fsync, rename).
-// A no-op when nothing was folded since the last checkpoint, or when the
-// store cannot checkpoint.
+// A no-op when nothing was folded since the last checkpoint, or on a
+// store-less hub.
 func (l *Log) WriteCheckpoint(dispatch json.RawMessage) error {
-	if l == nil {
-		return nil
-	}
-	cs, ok := l.store.(CheckpointStore)
-	if !ok {
+	if l == nil || l.store == nil {
 		return nil
 	}
 	l.mu.Lock()
@@ -239,7 +219,7 @@ func (l *Log) WriteCheckpoint(dispatch json.RawMessage) error {
 		Dispatch: dispatch,
 	}
 	start := time.Now()
-	if err := cs.WriteCheckpoint(c); err != nil {
+	if err := l.store.WriteCheckpoint(c); err != nil {
 		return err
 	}
 	l.m.Checkpoints.Inc()
@@ -275,8 +255,8 @@ func (l *Log) CheckpointDispatch() json.RawMessage {
 }
 
 // Horizon returns the store's compaction horizon: events with Seq <=
-// Horizon() are no longer individually readable. 0 for stores that never
-// compact.
+// Horizon() are no longer individually readable. 0 before the first
+// compaction and on a store-less hub.
 func (l *Log) Horizon() uint64 {
 	if l == nil || l.store == nil {
 		return 0

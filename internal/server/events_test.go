@@ -27,9 +27,10 @@ import (
 	"snaptask/internal/venue"
 )
 
-// newEventsTestServer builds a backend over the small test room with a
-// journal-backed event log (and telemetry, so events carry request IDs).
-func newEventsTestServer(t *testing.T, journalPath string) (*httptest.Server, *Server, *events.Log, *camera.World, *venue.Venue) {
+// newEventsTestServer builds a backend over the small test room with an
+// event log over a store at dir that never checkpoints, so every restart
+// is a full replay (and telemetry, so events carry request IDs).
+func newEventsTestServer(t *testing.T, dir string) (*httptest.Server, *Server, *events.Log, *camera.World, *venue.Venue) {
 	t.Helper()
 	v, err := venue.SmallRoom()
 	if err != nil {
@@ -42,7 +43,7 @@ func newEventsTestServer(t *testing.T, journalPath string) (*httptest.Server, *S
 		t.Fatal(err)
 	}
 	tel := telemetry.New(slog.New(slog.NewTextHandler(io.Discard, nil)), 8)
-	log, err := events.Open(journalPath, telemetry.NewEventMetrics(tel.Registry))
+	log, err := events.OpenDir(dir, telemetry.NewEventMetrics(tel.Registry), events.DirStoreOptions{}, events.CheckpointPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +232,7 @@ func readSSE(t *testing.T, body io.Reader, want int) []sseFrame {
 // sequence numbers from 1, the expected kinds present, batch events tagged
 // with their request IDs, and the final campaign_covered transition.
 func TestEventsStreamFullCampaign(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	ts, _, log, w, v := newEventsTestServer(t, path)
+	ts, _, log, w, v := newEventsTestServer(t, t.TempDir())
 	driveCampaign(t, ts, w, v, 40)
 
 	var status StatusResponse
@@ -320,8 +320,8 @@ func TestEventsStreamFullCampaign(t *testing.T) {
 // /v1/status (including lifecycle counts) and the full /v1/progress history
 // must be byte-identical to the pre-restart responses.
 func TestRestartWithJournalRestoresStatusAndProgress(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	ts, srv, log, w, v := newEventsTestServer(t, path)
+	dir := t.TempDir()
+	ts, srv, log, w, v := newEventsTestServer(t, dir)
 	driveCampaign(t, ts, w, v, 6) // mid-campaign: a handful of batches
 
 	statusBefore := rawGET(t, ts.URL+"/v1/status")
@@ -341,7 +341,7 @@ func TestRestartWithJournalRestoresStatusAndProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log2, err := events.Open(path, nil)
+	log2, err := events.OpenDir(dir, nil, events.DirStoreOptions{}, events.CheckpointPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +597,7 @@ func rawGET(t *testing.T, url string) string {
 // TestReadyzDuringJournalReplay verifies the readiness probe reports 503
 // while a journal replay is in progress and recovers afterwards.
 func TestReadyzDuringJournalReplay(t *testing.T) {
-	ts, srv, _, _, _ := newEventsTestServer(t, filepath.Join(t.TempDir(), "j.jsonl"))
+	ts, srv, _, _, _ := newEventsTestServer(t, t.TempDir())
 
 	srv.replaying.Store(true)
 	resp, err := http.Get(ts.URL + "/readyz")
@@ -647,8 +647,8 @@ func TestEventsEndpointsRequireLog(t *testing.T) {
 // gap-free stream. Run under -race, this is also the data-race check for
 // the emit/subscribe/evict paths.
 func TestSSESlowSubscriberDuringUploads(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	ts, srv, log, w, v := newEventsTestServer(t, path)
+	dir := t.TempDir()
+	ts, srv, log, w, v := newEventsTestServer(t, dir)
 
 	// Bootstrap so photo uploads are meaningful.
 	rng := rand.New(rand.NewSource(5))

@@ -1018,25 +1018,17 @@ func uploadSeed(hasSeed bool, seedX, seedY, locX, locY float64) geom.Vec2 {
 }
 
 // WriteState serialises the backend state to w under the owner lock — the
-// same bytes GET /v1/snapshot serves; exposed for shutdown persistence.
+// same bytes GET /v1/snapshot serves.
 func (s *Server) WriteState(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sys.WriteSnapshot(w)
 }
 
-// Checkpoint writes an event-log checkpoint now, regardless of policy —
-// the shutdown path calls it so the next start replays (almost) no tail.
-// A no-op when the server runs without an event log or with a
-// non-checkpointing store.
-func (s *Server) Checkpoint() error {
-	if s.evlog == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.checkpointLocked()
-}
+// Checkpoint writes an event-log checkpoint now, regardless of policy, and
+// no model snapshot. A no-op when the server runs without an event log or
+// with a store-less one.
+func (s *Server) Checkpoint() error { return s.CheckpointState(nil) }
 
 // CheckpointState writes an event-log checkpoint and, when w is non-nil,
 // the serialised backend model — both under one owner-lock acquisition,
